@@ -16,8 +16,10 @@
 //! MC-with-CRN trade, just with full joint GP sampling.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use eva_bo::SurrogateSampler;
+use eva_gp::PosteriorCache;
 use eva_linalg::Mat;
 use eva_prefgp::PreferenceModel;
 use eva_stats::rng::{child_seed, standard_normal, standard_normal_vec};
@@ -76,7 +78,16 @@ pub struct CompositeSampler<'a> {
     /// Memo: (point hash, seed, n_mc) → benefit samples. Exact because
     /// every sample stream is deterministic in those keys.
     cache: Mutex<HashMap<(u64, u64, usize), Vec<f64>>>,
+    /// Outcome-model posterior rows kept across the samplers of one
+    /// decision (see [`CompositeSampler::sharing_posteriors`]).
+    posteriors: SharedPosteriors,
 }
+
+/// A [`PosteriorCache`] shared by the samplers one BO run builds, one
+/// per iteration: block `camera * N_OBJECTIVES + objective` holds that
+/// outcome model's rows, and each iteration's `prepare` computes only
+/// the rows its observations added. Dropping the last handle frees it.
+pub type SharedPosteriors = Arc<Mutex<PosteriorCache>>;
 
 impl<'a> CompositeSampler<'a> {
     /// Assemble the surrogate from its fitted parts.
@@ -92,7 +103,16 @@ impl<'a> CompositeSampler<'a> {
             pref,
             normalizer,
             cache: Mutex::new(HashMap::new()),
+            posteriors: SharedPosteriors::default(),
         }
+    }
+
+    /// Use `posteriors` (shared with earlier samplers over ancestors of
+    /// this sampler's bank) instead of a fresh posterior cache. Results
+    /// are identical either way; sharing only skips recomputing rows.
+    pub fn sharing_posteriors(mut self, posteriors: &SharedPosteriors) -> Self {
+        self.posteriors = Arc::clone(posteriors);
+        self
     }
 
     /// Predictive mean aggregate outcome of a joint config (Eq. 2-5
@@ -287,15 +307,14 @@ impl SurrogateSampler for CompositeSampler<'_> {
 
     /// Batch-fill the sample cache for a whole candidate set: evaluate
     /// each (camera, objective) model once over the queries all
-    /// uncached feasible points make against it
-    /// ([`OutcomeModelBank::predict_objective_many`] shares a single
-    /// cross-kernel matrix per model), then assemble samples per point
-    /// from the batched posteriors. Query positions are pure indices —
-    /// aggregate objectives query exactly once per (point, camera), and
-    /// latency once per (point, split part) — so no hashing or dedup
-    /// bookkeeping sits on the hot path. Bit-identical to the per-point
-    /// path, so the driver's subsequent indexed calls are pure cache
-    /// hits.
+    /// uncached feasible points make against it, then assemble samples
+    /// per point from the batched posteriors. Aggregate objectives
+    /// query exactly once per (point, camera) and latency once per
+    /// (point, split part), so results are addressed by plain indices;
+    /// the shared [`PosteriorCache`] dedups queries by content and
+    /// extends each one by the rows its model gained since the last
+    /// call. Bit-identical to the per-point path, so the driver's
+    /// subsequent indexed calls are pure cache hits.
     fn prepare(&self, xs: &[Vec<f64>], n_mc: usize, seed: u64) {
         // Uncached points, deduped by content hash.
         let mut todo: Vec<(u64, &Vec<f64>)> = Vec::new();
@@ -339,40 +358,23 @@ impl SurrogateSampler for CompositeSampler<'_> {
             }
         }
 
-        const AGG_OBJS: [usize; 4] = [idx::ACCURACY, idx::NETWORK, idx::COMPUTATION, idx::ENERGY];
-        let mut agg_slot = [usize::MAX; N_OBJECTIVES];
-        for (k, &obj) in AGG_OBJS.iter().enumerate() {
-            agg_slot[obj] = k;
-        }
         let n_videos = self.scenario.n_videos();
         let planning = self.scenario.planning_uplinks();
 
-        // Aggregate objectives: point `p` queries camera `cam` at
-        // `(configs[cam], uplinks[cam])`, so the batch for each model is
-        // simply the points in order — `agg_post[cam * 4 + slot][p]`.
-        // Cameras are independent (pure posterior reads), so the
-        // batches run in parallel; ordered collect keeps the layout.
-        let agg_post: Vec<Vec<(f64, f64)>> = (0..n_videos)
-            .into_par_iter()
-            .flat_map(|cam| {
-                // One feature build per camera, shared by all four
-                // objective batches (the GPs agree on the feature map).
-                let xs: Vec<Vec<f64>> = feasible
+        // Queries per camera. Aggregate objectives: point `p` queries
+        // camera `cam` at `(configs[cam], uplinks[cam])`, so that batch
+        // is simply the points in order. Latency: one query per (point,
+        // split part); `lat_slot[p][part]` is the part's position in its
+        // camera's batch.
+        let agg_queries: Vec<Vec<Vec<f64>>> = (0..n_videos)
+            .map(|cam| {
+                feasible
                     .iter()
                     .map(|f| features_of(&f.configs[cam], f.uplinks[cam]))
-                    .collect();
-                AGG_OBJS
-                    .iter()
-                    .map(|&obj| self.bank.model(cam, obj).predict_many(&xs))
-                    .collect::<Vec<_>>()
+                    .collect()
             })
             .collect();
-
-        // Latency: one query per (point, split part), batched per
-        // camera; `lat_slot[p][part]` is the part's position in its
-        // camera's batch.
-        let mut lat_queries: Vec<Vec<(eva_workload::VideoConfig, f64)>> =
-            vec![Vec::new(); n_videos];
+        let mut lat_queries: Vec<Vec<Vec<f64>>> = vec![Vec::new(); n_videos];
         let mut lat_slot: Vec<Vec<usize>> = Vec::with_capacity(feasible.len());
         for f in &feasible {
             let mut slots = Vec::with_capacity(f.assignment.streams.len());
@@ -380,21 +382,53 @@ impl SurrogateSampler for CompositeSampler<'_> {
                 let cam = st.id.source;
                 let batch = &mut lat_queries[cam];
                 slots.push(batch.len());
-                batch.push((f.configs[cam], planning[f.assignment.server_of[i]]));
+                batch.push(features_of(
+                    &f.configs[cam],
+                    planning[f.assignment.server_of[i]],
+                ));
             }
             lat_slot.push(slots);
         }
-        let lat_post: Vec<Vec<(f64, f64)>> = lat_queries
-            .par_iter()
-            .enumerate()
-            .map(|(cam, batch)| {
-                if batch.is_empty() {
-                    Vec::new()
-                } else {
-                    self.bank.predict_objective_many(cam, idx::LATENCY, batch)
-                }
+        let queries = |cam: usize, obj: usize| -> &[Vec<f64>] {
+            if obj == idx::LATENCY {
+                &lat_queries[cam]
+            } else {
+                &agg_queries[cam]
+            }
+        };
+
+        // Posteriors of every (camera, objective) model through the
+        // posterior cache: `post[cam * N_OBJECTIVES + obj]` is that
+        // model's batch, bit-identical to `predict_many`. Origin rows
+        // are resolved first (they are shared across cameras); cameras
+        // then fill their own blocks independently, in parallel.
+        let mut cache = self.posteriors.lock();
+        let (heads, blocks) = cache.split(n_videos * N_OBJECTIVES);
+        let head_slots: Vec<Vec<u32>> = (0..n_videos * N_OBJECTIVES)
+            .map(|b| {
+                let (cam, obj) = (b / N_OBJECTIVES, b % N_OBJECTIVES);
+                heads.slots(self.bank.model(cam, obj), queries(cam, obj))
             })
             .collect();
+        let heads = &*heads;
+        let post: Vec<Vec<(f64, f64)>> = blocks[..n_videos * N_OBJECTIVES]
+            .par_chunks_mut(N_OBJECTIVES)
+            .enumerate()
+            .flat_map(|(cam, row)| {
+                row.iter_mut()
+                    .enumerate()
+                    .map(|(obj, block)| {
+                        block.predict(
+                            heads,
+                            self.bank.model(cam, obj),
+                            &head_slots[cam * N_OBJECTIVES + obj],
+                            queries(cam, obj),
+                        )
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        drop(cache);
 
         // Points are independent too: every CRN stream is seeded by its
         // own (seed, sub-key) pair and accumulation stays sequential
@@ -411,10 +445,11 @@ impl SurrogateSampler for CompositeSampler<'_> {
                                _uplink: f64,
                                part: usize|
                  -> (f64, f64) {
+                    let batch = &post[cam * N_OBJECTIVES + obj];
                     if obj == idx::LATENCY {
-                        lat_post[cam][slots[part]]
+                        batch[slots[part]]
                     } else {
-                        agg_post[cam * AGG_OBJS.len() + agg_slot[obj]][p]
+                        batch[p]
                     }
                 };
                 let samples = self.assemble_point_samples(
@@ -572,6 +607,90 @@ mod tests {
             assert_eq!(sub[(r, 0)].to_bits(), b[(r, 4)].to_bits());
             assert_eq!(sub[(r, 1)].to_bits(), b[(r, 0)].to_bits());
             assert_eq!(sub[(r, 2)].to_bits(), b[(r, 3)].to_bits());
+        }
+    }
+
+    #[test]
+    fn cached_bank_posteriors_are_bit_identical_to_scalar_path() {
+        let (sc, mut bank, _) = setup();
+        let space = sc.config_space();
+        let queries: Vec<(VideoConfig, f64)> = (0..space.len())
+            .step_by(3)
+            .map(|i| (space.at(i), if i % 2 == 0 { 20e6 } else { 5e6 }))
+            .collect();
+        let xs: Vec<Vec<f64>> = queries.iter().map(|(c, u)| features_of(c, *u)).collect();
+        let mut cache = PosteriorCache::new();
+        let mut rng = seeded(4);
+        for round in 0..3 {
+            for cam in 0..3 {
+                for obj in 0..N_OBJECTIVES {
+                    let model = bank.model(cam, obj);
+                    let batch = cache.predict_many(cam * N_OBJECTIVES + obj, model, &xs);
+                    assert_eq!(batch.len(), queries.len());
+                    for (k, (cfg, uplink)) in queries.iter().enumerate() {
+                        let (mu, var) = bank.predict_objective(cam, obj, cfg, *uplink);
+                        assert_eq!(batch[k].0.to_bits(), mu.to_bits(), "round {round}");
+                        assert_eq!(batch[k].1.to_bits(), var.to_bits(), "round {round}");
+                    }
+                }
+            }
+            // Grow every camera's models by one observation, as each
+            // objective evaluation of the BO loop does.
+            let cfg = space.at(7 * round + 2);
+            let samples: Vec<_> = (0..3)
+                .map(|cam| {
+                    eva_workload::Profiler::new(sc.surfaces(cam).clone())
+                        .with_noise(0.02, 0.02)
+                        .measure(&cfg, 20e6, &mut rng)
+                })
+                .collect();
+            bank.update_all(&samples);
+        }
+        assert!(cache.predict_many(0, bank.model(0, 0), &[]).is_empty());
+    }
+
+    #[test]
+    fn shared_posteriors_across_bank_updates_match_per_point_path() {
+        let (sc, mut bank, pref) = setup();
+        let normalizer = OutcomeNormalizer::for_scenario(&sc);
+        let xs = vec![
+            encode_joint(&sc, &[VideoConfig::new(600.0, 5.0); 3]),
+            encode_joint(&sc, &[VideoConfig::new(900.0, 10.0); 3]),
+            encode_joint(&sc, &[VideoConfig::new(1440.0, 20.0); 3]),
+        ];
+        let shared = SharedPosteriors::default();
+        let mut rng = seeded(5);
+        for round in 0..3u64 {
+            let fast = CompositeSampler::new(
+                &sc,
+                bank.clone(),
+                PreferenceEval::Oracle(pref.clone()),
+                normalizer.clone(),
+            )
+            .sharing_posteriors(&shared);
+            let slow = CompositeSampler::new(
+                &sc,
+                bank.clone(),
+                PreferenceEval::Oracle(pref.clone()),
+                normalizer.clone(),
+            );
+            fast.prepare(&xs, 8, 40 + round);
+            let a = fast.joint_samples(&xs, 8, 40 + round);
+            let b = slow.joint_samples(&xs, 8, 40 + round);
+            for r in 0..8 {
+                for c in 0..xs.len() {
+                    assert_eq!(a[(r, c)].to_bits(), b[(r, c)].to_bits(), "round {round}");
+                }
+            }
+            let cfg = VideoConfig::new(720.0, 10.0);
+            let samples: Vec<_> = (0..3)
+                .map(|cam| {
+                    eva_workload::Profiler::new(sc.surfaces(cam).clone())
+                        .with_noise(0.02, 0.02)
+                        .measure(&cfg, 20e6, &mut rng)
+                })
+                .collect();
+            bank.update_all(&samples);
         }
     }
 

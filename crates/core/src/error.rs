@@ -41,6 +41,16 @@ pub enum CoreError {
         /// Which part of the snapshot was malformed.
         context: &'static str,
     },
+    /// A scheduler configuration field is outside its valid range.
+    InvalidConfig {
+        /// The offending field, e.g. `"bo.n_init"`.
+        field: &'static str,
+        /// What the field must satisfy.
+        requirement: &'static str,
+    },
+    /// No joint configuration of the scenario has a zero-jitter
+    /// placement, so there is nothing to search.
+    NoFeasibleConfiguration,
 }
 
 impl std::fmt::Display for CoreError {
@@ -61,6 +71,12 @@ impl std::fmt::Display for CoreError {
             CoreError::Snapshot { context } => {
                 write!(f, "malformed control-plane snapshot: {context}")
             }
+            CoreError::InvalidConfig { field, requirement } => {
+                write!(f, "invalid scheduler configuration: {field} {requirement}")
+            }
+            CoreError::NoFeasibleConfiguration => {
+                write!(f, "no joint configuration has a zero-jitter placement")
+            }
         }
     }
 }
@@ -74,6 +90,8 @@ impl std::error::Error for CoreError {
             CoreError::NonFinite { .. } => None,
             CoreError::InsufficientProfiling { .. } => None,
             CoreError::Snapshot { .. } => None,
+            CoreError::InvalidConfig { .. } => None,
+            CoreError::NoFeasibleConfiguration => None,
         }
     }
 }
@@ -115,5 +133,14 @@ mod tests {
         assert!(ip.to_string().contains("at least 4"));
         assert!(ip.to_string().contains("got 2"));
         assert!(std::error::Error::source(&ip).is_none());
+        let ic = CoreError::InvalidConfig {
+            field: "bo.n_init",
+            requirement: "must be at least 1",
+        };
+        assert!(ic.to_string().contains("bo.n_init must be at least 1"));
+        assert!(std::error::Error::source(&ic).is_none());
+        assert!(CoreError::NoFeasibleConfiguration
+            .to_string()
+            .contains("zero-jitter"));
     }
 }

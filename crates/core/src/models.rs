@@ -348,23 +348,6 @@ impl OutcomeModelBank {
         let x = features_of(config, uplink_bps);
         self.models[camera][objective].predict(&x)
     }
-
-    /// Batched [`OutcomeModelBank::predict_objective`]: mean/variance at
-    /// many (config, uplink) queries against one GP, sharing a single
-    /// cross-kernel matrix ([`GpModel::predict_many`]). Bit-identical to
-    /// the per-query path.
-    pub fn predict_objective_many(
-        &self,
-        camera: usize,
-        objective: usize,
-        queries: &[(VideoConfig, f64)],
-    ) -> Vec<(f64, f64)> {
-        let xs: Vec<Vec<f64>> = queries
-            .iter()
-            .map(|(cfg, uplink)| features_of(cfg, *uplink))
-            .collect();
-        self.models[camera][objective].predict_many(&xs)
-    }
 }
 
 /// Extract objective `obj` (canonical order) from an outcome.
@@ -545,28 +528,6 @@ mod tests {
             &NoopRecorder,
         )
         .is_err());
-    }
-
-    #[test]
-    fn predict_objective_many_is_bit_identical_to_scalar_path() {
-        let (sc, bank) = bank(20);
-        let space = sc.config_space();
-        let queries: Vec<(VideoConfig, f64)> = (0..space.len())
-            .step_by(3)
-            .map(|i| (space.at(i), if i % 2 == 0 { 20e6 } else { 5e6 }))
-            .collect();
-        for cam in 0..2 {
-            for obj in 0..N_OBJECTIVES {
-                let batch = bank.predict_objective_many(cam, obj, &queries);
-                assert_eq!(batch.len(), queries.len());
-                for (k, (cfg, uplink)) in queries.iter().enumerate() {
-                    let (mu, var) = bank.predict_objective(cam, obj, cfg, *uplink);
-                    assert_eq!(batch[k].0.to_bits(), mu.to_bits());
-                    assert_eq!(batch[k].1.to_bits(), var.to_bits());
-                }
-            }
-        }
-        assert!(bank.predict_objective_many(0, 0, &[]).is_empty());
     }
 
     #[test]

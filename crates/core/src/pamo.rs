@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 use rand::Rng;
 
 use crate::benefit::{OutcomeNormalizer, TruePreference, TruePreferenceOracle};
-use crate::composite::{CompositeSampler, PreferenceEval, INFEASIBLE_BENEFIT};
+use crate::composite::{CompositeSampler, PreferenceEval, SharedPosteriors, INFEASIBLE_BENEFIT};
 use crate::error::CoreError;
 use crate::models::{OutcomeModelBank, ProfilingDesign};
 use crate::pool::{build_pool, decode_joint};
@@ -87,6 +87,31 @@ impl PamoConfig {
     pub fn with_delta(mut self, delta: f64) -> Self {
         self.bo.delta = delta;
         self
+    }
+
+    /// Check every field a decision would otherwise trip over: the BO
+    /// loop needs at least one initial point, batch slot and MC sample,
+    /// the pool at least one candidate, and the measurement noise must
+    /// be a finite non-negative scale. (`profiling_per_camera` is
+    /// checked by the outcome-model fit, which knows its minimum.)
+    pub fn validate(&self) -> Result<(), CoreError> {
+        let invalid = |field, requirement| Err(CoreError::InvalidConfig { field, requirement });
+        if self.bo.n_init == 0 {
+            return invalid("bo.n_init", "must be at least 1");
+        }
+        if self.bo.batch == 0 {
+            return invalid("bo.batch", "must be at least 1");
+        }
+        if self.bo.mc_samples == 0 {
+            return invalid("bo.mc_samples", "must be at least 1");
+        }
+        if self.pool_size == 0 {
+            return invalid("pool_size", "must be at least 1");
+        }
+        if !(self.profile_noise.is_finite() && self.profile_noise >= 0.0) {
+            return invalid("profile_noise", "must be finite and non-negative");
+        }
+        Ok(())
     }
 }
 
@@ -174,9 +199,9 @@ impl Pamo {
     /// maker (answering comparisons for PaMO; evaluated directly for
     /// PaMO+) and scores the final decision.
     ///
-    /// Every failure mode — infeasible placement, GP numerics,
-    /// preference-model breakdown — comes back as a [`CoreError`]; this
-    /// path never panics.
+    /// Every failure mode — an invalid [`PamoConfig`], infeasible
+    /// placement, GP numerics, preference-model breakdown — comes back
+    /// as a [`CoreError`]; this path never panics.
     pub fn decide<R: Rng + ?Sized>(
         &self,
         scenario: &Scenario,
@@ -249,6 +274,7 @@ impl Pamo {
     ) -> Result<PamoDecision, CoreError> {
         let _decide_span = span(rec, Phase::Decide);
         let cfg = &self.config;
+        cfg.validate()?;
         let normalizer = OutcomeNormalizer::for_scenario(scenario);
 
         // (1) Outcome function fitting, warm-started from the previous
@@ -290,7 +316,7 @@ impl Pamo {
         // (2) System preference modeling.
         let (pool, pref_eval, comparisons_used) = {
             let _pref_span = span(rec, Phase::PrefModel);
-            let pool = build_pool(scenario, cfg.pool_size, rng);
+            let pool = build_pool(scenario, cfg.pool_size, rng)?;
             let (pref_eval, comparisons_used) = match cfg.preference {
                 PreferenceSource::Oracle => (PreferenceEval::Oracle(true_pref.clone()), 0),
                 PreferenceSource::Learned => {
@@ -336,6 +362,10 @@ impl Pamo {
                 INFEASIBLE_BENEFIT
             }
         };
+        // Every iteration's sampler sees the bank grown by the last
+        // batch's observations; the shared posterior cache lets each
+        // `prepare` compute only those new rows. Freed with this frame.
+        let posteriors = SharedPosteriors::default();
         let fit = |_observations: &[(Vec<f64>, f64)]| -> CompositeSampler<'_> {
             CompositeSampler::new(
                 scenario,
@@ -343,6 +373,7 @@ impl Pamo {
                 pref_eval.clone(),
                 normalizer.clone(),
             )
+            .sharing_posteriors(&posteriors)
         };
         let bo = {
             let _bo_span = span(rec, Phase::BoSearch);
@@ -666,6 +697,49 @@ mod tests {
         let b = restored.decide(&sc, &pref, &mut seeded(13)).unwrap();
         assert_eq!(a.configs, b.configs);
         assert_eq!(a.true_benefit.to_bits(), b.true_benefit.to_bits());
+    }
+
+    #[test]
+    fn hostile_configs_are_errors_not_panics() {
+        let sc = scenario();
+        let pref = TruePreference::uniform(&sc);
+        type Breaker = fn(&mut PamoConfig);
+        let cases: [(&str, Breaker); 6] = [
+            ("bo.n_init", |c| c.bo.n_init = 0),
+            ("bo.batch", |c| c.bo.batch = 0),
+            ("bo.mc_samples", |c| c.bo.mc_samples = 0),
+            ("pool_size", |c| c.pool_size = 0),
+            ("profile_noise", |c| c.profile_noise = f64::NAN),
+            ("profile_noise", |c| c.profile_noise = -0.1),
+        ];
+        for (field, break_it) in cases {
+            let mut cfg = tiny_config();
+            break_it(&mut cfg);
+            let err = Pamo::new(cfg)
+                .decide(&sc, &pref, &mut seeded(5))
+                .unwrap_err();
+            match err {
+                CoreError::InvalidConfig { field: f, .. } => assert_eq!(f, field),
+                other => panic!("{field}: wrong error {other}"),
+            }
+        }
+        assert!(tiny_config().validate().is_ok());
+    }
+
+    #[test]
+    fn scenario_without_feasible_configuration_is_an_error() {
+        // Three cameras on one server with 4K at 30 fps as the only
+        // configuration: nothing is schedulable, so the pool is empty.
+        let sc = Scenario::new(
+            eva_workload::clip::clip_set(3, 3),
+            vec![20e6],
+            eva_workload::ConfigSpace::new(vec![2160.0], vec![30.0]),
+        );
+        let pref = TruePreference::uniform(&sc);
+        let err = Pamo::new(tiny_config().plus())
+            .decide(&sc, &pref, &mut seeded(6))
+            .unwrap_err();
+        assert!(matches!(err, CoreError::NoFeasibleConfiguration), "{err}");
     }
 
     #[test]

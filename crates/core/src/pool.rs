@@ -11,6 +11,8 @@
 use eva_workload::{Scenario, VideoConfig};
 use rand::Rng;
 
+use crate::error::CoreError;
+
 /// Encode per-camera configs as a flat normalized vector
 /// `[r₀/2160, s₀/30, r₁/2160, …]`.
 pub fn encode_joint(scenario: &Scenario, configs: &[VideoConfig]) -> Vec<f64> {
@@ -39,12 +41,21 @@ pub fn decode_joint(scenario: &Scenario, x: &[f64]) -> Vec<VideoConfig> {
 ///    Pareto "diagonal",
 /// 2. Latin-hypercube mixed configs (independent knobs per camera),
 ///    kept only if schedulable, until the target is reached.
+///
+/// A zero `target_size` is [`CoreError::InvalidConfig`]; a scenario in
+/// which no sampled joint configuration is schedulable is
+/// [`CoreError::NoFeasibleConfiguration`].
 pub fn build_pool<R: Rng + ?Sized>(
     scenario: &Scenario,
     target_size: usize,
     rng: &mut R,
-) -> Vec<Vec<f64>> {
-    assert!(target_size >= 1, "build_pool: empty target");
+) -> Result<Vec<Vec<f64>>, CoreError> {
+    if target_size == 0 {
+        return Err(CoreError::InvalidConfig {
+            field: "pool_size",
+            requirement: "must be at least 1",
+        });
+    }
     let space = scenario.config_space();
     let m = scenario.n_videos();
     let mut pool: Vec<Vec<f64>> = Vec::new();
@@ -56,7 +67,7 @@ pub fn build_pool<R: Rng + ?Sized>(
             pool.push(encode_joint(scenario, &configs));
         }
         if pool.len() >= target_size {
-            return pool;
+            return Ok(pool);
         }
     }
 
@@ -79,11 +90,10 @@ pub fn build_pool<R: Rng + ?Sized>(
             }
         }
     }
-    assert!(
-        !pool.is_empty(),
-        "build_pool: no feasible joint configuration exists for this scenario"
-    );
-    pool
+    if pool.is_empty() {
+        return Err(CoreError::NoFeasibleConfiguration);
+    }
+    Ok(pool)
 }
 
 #[cfg(test)]
@@ -113,7 +123,7 @@ mod tests {
     #[test]
     fn pool_entries_are_feasible_and_distinct() {
         let sc = scenario();
-        let pool = build_pool(&sc, 40, &mut seeded(1));
+        let pool = build_pool(&sc, 40, &mut seeded(1)).unwrap();
         assert!(pool.len() >= 20, "pool too small: {}", pool.len());
         for x in &pool {
             let configs = decode_joint(&sc, x);
@@ -128,7 +138,7 @@ mod tests {
     #[test]
     fn pool_contains_cheap_diagonal() {
         let sc = scenario();
-        let pool = build_pool(&sc, 30, &mut seeded(2));
+        let pool = build_pool(&sc, 30, &mut seeded(2)).unwrap();
         let cheapest = encode_joint(&sc, &[VideoConfig::new(360.0, 1.0); 4]);
         assert!(pool.contains(&cheapest));
     }
@@ -137,10 +147,31 @@ mod tests {
     fn overconstrained_scenario_still_yields_some_pool() {
         // 6 cameras, 1 server: only frugal configs are feasible.
         let sc = Scenario::uniform(6, 1, 20e6, 5);
-        let pool = build_pool(&sc, 25, &mut seeded(3));
+        let pool = build_pool(&sc, 25, &mut seeded(3)).unwrap();
         assert!(!pool.is_empty());
         for x in &pool {
             assert!(sc.schedule(&decode_joint(&sc, x)).is_ok());
         }
+    }
+
+    #[test]
+    fn empty_target_and_infeasible_scenario_are_errors() {
+        let err = build_pool(&scenario(), 0, &mut seeded(4)).unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::InvalidConfig {
+                field: "pool_size",
+                ..
+            }
+        ));
+        // Three cameras on one server with 4K at 30 fps as the only
+        // configuration: nothing fits.
+        let crowded = Scenario::new(
+            eva_workload::clip::clip_set(3, 3),
+            vec![20e6],
+            eva_workload::ConfigSpace::new(vec![2160.0], vec![30.0]),
+        );
+        let err = build_pool(&crowded, 5, &mut seeded(4)).unwrap_err();
+        assert!(matches!(err, CoreError::NoFeasibleConfiguration), "{err}");
     }
 }

@@ -12,14 +12,18 @@
 //!   variance, joint posteriors and posterior sampling for Monte-Carlo
 //!   acquisition functions,
 //! * [`fit`] — marginal-likelihood hyperparameter optimization via
-//!   multi-start Nelder-Mead on log-parameters.
+//!   multi-start Nelder-Mead on log-parameters,
+//! * [`cache`] — posteriors kept across a chain of conditioned models,
+//!   extended by the new factor rows only.
 
+pub mod cache;
 pub mod fit;
 pub mod kernel;
 pub mod loocv;
 pub mod model;
 pub mod poly;
 
+pub use cache::PosteriorCache;
 pub use fit::{fit_gp, fit_gp_recorded, theta_of, FitConfig};
 pub use kernel::{Kernel, KernelType};
 pub use loocv::{loo_diagnostics, LooDiagnostics};

@@ -1,7 +1,9 @@
 //! Exact GP regression: posterior means, variances, joint covariance
 //! and posterior sampling.
 
-use eva_linalg::{vecops, Cholesky, Mat};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use eva_linalg::{solve, vecops, Cholesky, Mat};
 use rand::Rng;
 
 use crate::{GpError, Kernel, Result};
@@ -23,6 +25,18 @@ pub struct GpModel {
     chol: Cholesky,
     /// `(K + σ² I)^{-1} z` where `z` is the standardized target vector.
     alpha: Vec<f64>,
+    /// Provenance of each row of the Cholesky factor: the id of the
+    /// factorization or extension that computed it (see
+    /// [`GpModel::factor_ids`]).
+    factor_ids: Vec<u64>,
+}
+
+/// Source of factor ids; every factorization and every extension draws
+/// a fresh one.
+static NEXT_FACTOR_ID: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_factor_id() -> u64 {
+    NEXT_FACTOR_ID.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Joint latent posterior at a set of query points.
@@ -116,6 +130,7 @@ impl GpModel {
         k.add_diag(noise_var);
         let chol = Cholesky::decompose_jittered(&k)?;
         let alpha = chol.solve(&z)?;
+        let factor_ids = vec![fresh_factor_id(); x.len()];
         Ok(GpModel {
             kernel,
             noise_var,
@@ -125,6 +140,7 @@ impl GpModel {
             y_std,
             chol,
             alpha,
+            factor_ids,
         })
     }
 
@@ -178,11 +194,6 @@ impl GpModel {
     /// Predictive mean at one point (original units).
     pub fn predict_mean(&self, x: &[f64]) -> f64 {
         self.predict(x).0
-    }
-
-    /// Predict means and variances at many points.
-    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
-        xs.iter().map(|x| self.predict(x)).collect()
     }
 
     /// Vectorized [`GpModel::predict`] over many points: builds the
@@ -245,6 +256,7 @@ impl GpModel {
             y_std,
             chol: self.chol.clone(),
             alpha,
+            factor_ids: self.factor_ids.clone(),
         })
     }
 
@@ -368,6 +380,9 @@ impl GpModel {
         y.extend_from_slice(y_new);
         let z: Vec<f64> = y.iter().map(|&v| (v - self.y_mean) / self.y_std).collect();
         let alpha = chol.solve(&z)?;
+        let mut factor_ids = Vec::with_capacity(x.len());
+        factor_ids.extend_from_slice(&self.factor_ids);
+        factor_ids.resize(x.len(), fresh_factor_id());
         Ok(GpModel {
             kernel: self.kernel.clone(),
             noise_var: self.noise_var,
@@ -377,7 +392,67 @@ impl GpModel {
             y_std: self.y_std,
             chol,
             alpha,
+            factor_ids,
         })
+    }
+
+    /// Provenance of each row of the Cholesky factor (and of the
+    /// training input it factors): the id of the from-scratch
+    /// factorization or the [`GpModel::condition`] extension that
+    /// computed it. Ids are process-unique and rows are only ever
+    /// copied from parent to child, so two models whose ids agree at
+    /// row `i` hold bitwise-equal factor rows and training inputs at
+    /// `..=i` — the validity rule of [`crate::PosteriorCache`]. The
+    /// leading run of equal ids is the *origin*: the factorization every
+    /// [`GpModel::with_targets`] sibling shares.
+    pub fn factor_ids(&self) -> &[u64] {
+        &self.factor_ids
+    }
+
+    /// Number of leading factor rows computed by the origin
+    /// factorization (see [`GpModel::factor_ids`]).
+    pub(crate) fn origin_rows(&self) -> usize {
+        let origin = self.factor_ids.first().copied();
+        self.factor_ids
+            .iter()
+            .take_while(|&&id| Some(id) == origin)
+            .count()
+    }
+
+    /// Rows `rows` of the cross-kernel vector `kx[i] = k(x, xᵢ)`, as
+    /// [`GpModel::predict_many`] evaluates them.
+    pub(crate) fn cross_rows(&self, x: &[f64], kx: &mut [f64], rows: std::ops::Range<usize>) {
+        for i in rows {
+            kx[i] = self.kernel.eval(x, &self.x[i]);
+        }
+    }
+
+    /// Rows `rows` of `kx` and of its forward solve `y = L⁻¹ kx`, with
+    /// `kx`/`y` already filled below `rows.start`: the per-row arithmetic
+    /// of [`GpModel::predict_many`], resumable as the factor grows.
+    pub(crate) fn cross_solve_rows(
+        &self,
+        x: &[f64],
+        kx: &mut [f64],
+        y: &mut [f64],
+        rows: std::ops::Range<usize>,
+    ) -> Result<()> {
+        self.cross_rows(x, kx, rows.clone());
+        solve::forward_substitution_rows(self.chol.l(), kx, y, rows)?;
+        Ok(())
+    }
+
+    /// Posterior `(mean, latent variance)` from a query's full
+    /// cross-kernel vector `kx`, its forward solve `y` and `kxx =
+    /// k(x, x)` — the final step of [`GpModel::predict_many`].
+    pub(crate) fn posterior_from_rows(&self, kx: &[f64], y: &[f64], kxx: f64) -> (f64, f64) {
+        let mean_z = vecops::dot(kx, &self.alpha);
+        let v = vecops::dot(y, y);
+        let var_z = (kxx - v).max(0.0);
+        (
+            self.y_mean + self.y_std * mean_z,
+            self.y_std * self.y_std * var_z,
+        )
     }
 }
 

@@ -18,7 +18,36 @@ pub fn forward_substitution_into(l: &Mat, b: &[f64], y: &mut [f64]) -> Result<()
     check_square_rhs(l, b, "forward_substitution")?;
     let n = l.rows();
     assert_eq!(y.len(), n, "forward_substitution_into: bad buffer length");
-    for i in 0..n {
+    forward_substitution_rows(l, b, y, 0..n)
+}
+
+/// Rows `rows` of the solution of `L y = b`, given `y[..rows.start]`
+/// already solved. Row `i` of the solution depends on rows `..=i` of
+/// `L` and `b` alone, so a solve can stop at any row (the leading block
+/// of `L` is itself a Cholesky factor) and resume after `L` grows by
+/// appended rows (see [`crate::Cholesky::extend`]). Per-row arithmetic
+/// is that of [`forward_substitution_into`]; `b` and `y` need only
+/// cover `..rows.end`.
+pub fn forward_substitution_rows(
+    l: &Mat,
+    b: &[f64],
+    y: &mut [f64],
+    rows: std::ops::Range<usize>,
+) -> Result<()> {
+    if !l.is_square() {
+        return Err(LinalgError::NotSquare {
+            rows: l.rows(),
+            cols: l.cols(),
+        });
+    }
+    if rows.end > l.rows() || b.len() < rows.end || y.len() < rows.end {
+        return Err(LinalgError::DimMismatch {
+            op: "forward_substitution_rows",
+            left: (l.rows(), l.cols()),
+            right: (b.len().min(y.len()), rows.end),
+        });
+    }
+    for i in rows {
         let s = crate::vecops::dot(&l.row(i)[..i], &y[..i]);
         let d = l[(i, i)];
         if d == 0.0 {
@@ -49,9 +78,16 @@ pub fn backward_substitution(u: &Mat, b: &[f64]) -> Result<Vec<f64>> {
 /// Solve `L^T x = b` given the *lower* factor `L`, without materializing
 /// the transpose. This is the second half of a Cholesky solve.
 pub fn backward_substitution_transposed(l: &Mat, b: &[f64]) -> Result<Vec<f64>> {
-    check_square_rhs(l, b, "backward_substitution_transposed")?;
-    let n = l.rows();
     let mut x = b.to_vec();
+    backward_substitution_transposed_in_place(l, &mut x)?;
+    Ok(x)
+}
+
+/// [`backward_substitution_transposed`] overwriting the right-hand side
+/// `x` with the solution — identical arithmetic, no allocation.
+pub fn backward_substitution_transposed_in_place(l: &Mat, x: &mut [f64]) -> Result<()> {
+    check_square_rhs(l, x, "backward_substitution_transposed")?;
+    let n = l.rows();
     for i in (0..n).rev() {
         let d = l[(i, i)];
         if d == 0.0 {
@@ -64,7 +100,7 @@ pub fn backward_substitution_transposed(l: &Mat, b: &[f64]) -> Result<Vec<f64>> 
             x[j] -= l[(i, j)] * xi;
         }
     }
-    Ok(x)
+    Ok(())
 }
 
 fn check_square_rhs(m: &Mat, b: &[f64], op: &'static str) -> Result<()> {

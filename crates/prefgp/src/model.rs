@@ -7,8 +7,10 @@
 //! posterior is approximated as `N(ĝ, (K⁻¹ + Λ)⁻¹)` with `Λ` the
 //! likelihood curvature (Laplace).
 
+use std::cell::RefCell;
+
 use eva_gp::Kernel;
-use eva_linalg::{vecops, Cholesky, Mat};
+use eva_linalg::{solve, vecops, Cholesky, Mat};
 use eva_stats::norm_cdf;
 
 use crate::dataset::PreferenceDataset;
@@ -183,11 +185,47 @@ impl PreferenceModel {
     /// A single-point posterior cannot fail after a successful fit; in
     /// the impossible event that it does, fall back to the prior
     /// (mean 0, full kernel variance).
+    ///
+    /// This is the one-point case of [`PreferenceModel::posterior_joint`]
+    /// computed in per-thread scratch buffers instead of a dozen `Mat`s:
+    /// the same kernel calls, the same two triangular solves and the
+    /// same one-column products (sequential sums that skip zero factors,
+    /// as the blocked GEMM does), so the result is bit-identical. The
+    /// MC acquisition calls this once per sample row per candidate.
     pub fn predict_utility(&self, y: &[f64]) -> (f64, f64) {
-        match self.posterior_joint(std::slice::from_ref(&y.to_vec())) {
-            Ok((mean, cov)) => (mean[0], cov[(0, 0)].max(0.0)),
-            Err(_) => (0.0, self.kernel.eval(y, y).max(0.0)),
-        }
+        SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            let PredictScratch { kx, w, sw } = &mut *scratch;
+            self.predict_utility_in(y, kx, w, sw)
+                .unwrap_or_else(|| (0.0, self.kernel.eval(y, y).max(0.0)))
+        })
+    }
+
+    /// The body of [`PreferenceModel::predict_utility`]; `None` where
+    /// `posterior_joint` would fail (a singular factor).
+    fn predict_utility_in(
+        &self,
+        y: &[f64],
+        kx: &mut Vec<f64>,
+        w: &mut Vec<f64>,
+        sw: &mut Vec<f64>,
+    ) -> Option<(f64, f64)> {
+        let n = self.items.len();
+        kx.clear();
+        kx.extend(self.items.iter().map(|item| self.kernel.eval(item, y)));
+        let mean = vecops::dot(kx, &self.alpha);
+        let kqq = self.kernel.eval(y, y);
+        // w = K⁻¹ k* by the Cholesky solve's two substitutions.
+        w.clear();
+        w.resize(n, 0.0);
+        let l = self.k_chol.l();
+        solve::forward_substitution_into(l, kx, w).ok()?;
+        solve::backward_substitution_transposed_in_place(l, w).ok()?;
+        let reduction = one_column_product(kx, w);
+        sw.clear();
+        sw.extend((0..n).map(|i| one_column_product(self.sigma.row(i), w)));
+        let middle = one_column_product(w, sw);
+        Some((mean, (kqq - reduction + middle).max(0.0)))
     }
 
     /// Joint posterior (mean, covariance) of the latent utility at a set
@@ -225,6 +263,30 @@ impl PreferenceModel {
         let c = std::f64::consts::SQRT_2 * self.lambda;
         norm_cdf(mu / (var + c * c).sqrt())
     }
+}
+
+/// Reusable buffers of [`PreferenceModel::predict_utility`].
+#[derive(Default)]
+struct PredictScratch {
+    kx: Vec<f64>,
+    w: Vec<f64>,
+    sw: Vec<f64>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<PredictScratch> = RefCell::new(PredictScratch::default());
+}
+
+/// `aᵀb` summed the way [`Mat::matmul`] forms a one-column product:
+/// sequentially from zero, skipping terms whose left factor is zero.
+fn one_column_product(a: &[f64], b: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for (&ai, &bi) in a.iter().zip(b) {
+        if ai != 0.0 {
+            acc += ai * bi;
+        }
+    }
+    acc
 }
 
 /// Log posterior (up to a constant): Σ log Φ(u_v) − ½ gᵀK⁻¹g.

@@ -72,6 +72,48 @@ proptest! {
         prop_assert!(var.is_finite() && var >= 0.0);
     }
 
+    /// `predict_utility` (the scratch-buffer path) is bit-identical to
+    /// the one-point joint posterior it replaces, on random fitted
+    /// models of random dimension and kernel family. Far-off queries
+    /// underflow kernel entries to exactly zero, which exercises the
+    /// zero-skipping sums.
+    #[test]
+    fn predict_utility_equals_one_point_posterior(
+        dim in 1usize..6,
+        n_cmp in 1usize..20,
+        family in 0usize..3,
+        lengthscale in 0.2f64..2.0,
+        seed in 0u64..1000,
+    ) {
+        let family = [KernelType::Rbf, KernelType::Matern32, KernelType::Matern52][family];
+        let mut rng = seeded(seed);
+        let weights: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.2..3.0)).collect();
+        let mut oracle = FunctionOracle::new(move |y: &[f64]| {
+            -y.iter().zip(&weights).map(|(v, w)| v * w).sum::<f64>()
+        });
+        let mut data = PreferenceDataset::new();
+        for _ in 0..n_cmp {
+            let a: Vec<f64> = (0..dim).map(|_| rng.gen()).collect();
+            let b: Vec<f64> = (0..dim).map(|_| rng.gen()).collect();
+            data.query(&mut oracle, &a, &b);
+        }
+        let kernel = Kernel::isotropic(family, dim, lengthscale, rng.gen_range(0.5..2.0));
+        let model = PreferenceModel::fit(&data, kernel, 0.1).expect("Laplace fit");
+        let mut queries: Vec<Vec<f64>> = (0..12)
+            .map(|_| (0..dim).map(|_| rng.gen_range(-0.5..1.5)).collect())
+            .collect();
+        queries.push(data.items()[0].clone());
+        queries.push(vec![60.0; dim]);
+        for q in &queries {
+            let (mu, var) = model.predict_utility(q);
+            let (mean, cov) = model
+                .posterior_joint(std::slice::from_ref(q))
+                .expect("one-point posterior");
+            prop_assert_eq!(mu.to_bits(), mean[0].to_bits(), "mean at {:?}", q);
+            prop_assert_eq!(var.to_bits(), cov[(0, 0)].max(0.0).to_bits(), "var at {:?}", q);
+        }
+    }
+
     /// Preference learning is label-scale free: the oracle's utility
     /// can be rescaled arbitrarily without changing the comparisons,
     /// hence the fitted model.
